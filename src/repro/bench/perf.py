@@ -8,12 +8,12 @@ The benches cover the layers of the simulator fast path (schema v5):
 * ``kernel_steady`` — steady-state heap throughput under heavy timer
   cancellation (the tombstone path, DESIGN.md §5g): a sliding window of
   pending timeouts of which most are cancelled before firing.
-* ``switch_lookup`` — :class:`~repro.net.flowtable.FlowTable` lookup under
-  N installed rules, exact-match cache on vs off.
+* ``switch_lookup`` — :class:`~repro.net.flowtable.FlowTable` classifier
+  lookup rate under N installed rules.
 * ``multicast_fanout`` — end-to-end put legs at replication 3/5/7, the
   workload the vectorized group fan-out serves.
 * ``fig5_put_leg`` — an end-to-end fig5-style put leg on a warmed NICE
-  cluster, cache on vs off, asserting the results are bit-identical.
+  cluster with a large (~800-rule) switch table.
 * ``approx_vs_exact`` — the same leg under ``sim_mode="approx"`` vs
   ``"exact"``: event reduction, wall speedup, and result drift.
 * ``harmonia_read_floor`` — hot-partition YCSB-C read throughput at R=3,
@@ -34,9 +34,9 @@ The benches cover the layers of the simulator fast path (schema v5):
 ``python -m repro.bench perf`` runs the suite and writes ``BENCH_perf.json``
 (schema documented in EXPERIMENTS.md) so every future PR has a perf
 trajectory to regress against.  Wall-clock numbers are machine-dependent;
-the *ratios* (cache speedups) and the simulated results are not.  Kernel
-benches also report :meth:`Simulator.pool_stats` so allocator regressions
-(pool thrash, reuse-rate collapse) show up without a profiler.
+the *ratios* (approx, trace overhead) and the simulated results are not.
+Kernel benches also report :meth:`Simulator.pool_stats` so allocator
+regressions (pool thrash, reuse-rate collapse) show up without a profiler.
 """
 
 from __future__ import annotations
@@ -65,9 +65,6 @@ DEFAULT_OUT = "BENCH_perf.json"
 #: Ceiling on the live-tracer wall-clock multiplier (satellite of the §5g
 #: perf overhaul; the suite asserts it).
 TRACE_OVERHEAD_MAX = 1.30
-
-#: Environment escape hatch honored by FlowTable (see flowtable.py).
-DISABLE_ENV = "REPRO_DISABLE_FLOW_CACHE"
 
 #: Floor on harmonia's hot-partition read throughput relative to NICE-LB
 #: at R=3 under YCSB-C (the §5j read-scaling contract).  The structural
@@ -147,8 +144,8 @@ def bench_kernel_steady(
 
 
 # ------------------------------------------------------------------ switch
-def _lookup_table(n_rules: int, cache_enabled: bool) -> FlowTable:
-    table = FlowTable(cache_enabled=cache_enabled)
+def _lookup_table(n_rules: int) -> FlowTable:
+    table = FlowTable()
     base = IPv4Address("10.64.0.0")
     for i in range(n_rules):
         table.add(
@@ -166,8 +163,7 @@ def _lookup_packets(n_rules: int, n_flows: int) -> list:
     src = IPv4Address("10.0.0.1")
     packets = []
     for f in range(n_flows):
-        # Spread flows across the whole table so the linear scan pays the
-        # average (n/2) depth, not a best- or worst-case corner.
+        # Spread flows across the whole table.
         idx = (f * n_rules) // n_flows
         packets.append(
             Packet(src_ip=src, dst_ip=base + idx, proto=Proto.UDP, dport=4000,
@@ -179,45 +175,35 @@ def _lookup_packets(n_rules: int, n_flows: int) -> list:
 def bench_switch_lookup(
     n_rules: int = 1000, n_lookups: int = 20000, n_flows: int = 64
 ) -> dict:
-    """FlowTable.lookup under ``n_rules`` installed rules, cache on vs off."""
+    """FlowTable.lookup rate under ``n_rules`` installed rules."""
     packets = _lookup_packets(n_rules, n_flows)
-    out = {"n_rules": n_rules, "n_lookups": n_lookups, "n_flows": n_flows}
-    for label, cache_enabled in (("cached", True), ("uncached", False)):
-        table = _lookup_table(n_rules, cache_enabled)
-        lookup = table.lookup
-        t0 = time.perf_counter()
-        for k in range(n_lookups):
-            lookup(packets[k % n_flows], 1)
-        wall = time.perf_counter() - t0
-        entry = {
-            "wall_s": wall,
-            "lookups_per_s": n_lookups / wall if wall > 0 else None,
-        }
-        if cache_enabled:
-            total = table.cache_hits + table.cache_misses
-            entry["hit_rate"] = table.cache_hits / total if total else 0.0
-        out[label] = entry
-    out["speedup"] = out["uncached"]["wall_s"] / out["cached"]["wall_s"]
-    return out
+    table = _lookup_table(n_rules)
+    lookup = table.lookup
+    t0 = time.perf_counter()
+    for k in range(n_lookups):
+        lookup(packets[k % n_flows], 1)
+    wall = time.perf_counter() - t0
+    return {
+        "n_rules": n_rules,
+        "n_lookups": n_lookups,
+        "n_flows": n_flows,
+        "wall_s": wall,
+        "lookups_per_s": n_lookups / wall if wall > 0 else None,
+    }
 
 
 # ------------------------------------------------------------- end-to-end
 #: Vring partitions for the end-to-end leg: 128 subgroups on 15 nodes puts
-#: ~(R+1)·128 ≈ 800 rules in the switch — the §4.6 regime the cache is for.
-#: (The default 16-partition table is short enough that the linear scan
-#: hides behind kernel work.)
+#: ~(R+1)·128 ≈ 800 rules in the switch — the §4.6 regime.
 E2E_PARTITIONS = 128
 
 
 def _run_fig5_leg(
     n_ops: int,
     size: int,
-    disable_cache: bool,
     traced: bool = False,
     sim_mode: str = "exact",
 ) -> dict:
-    prior = os.environ.get(DISABLE_ENV)
-    os.environ[DISABLE_ENV] = "1" if disable_cache else "0"
     prior_mode = set_default_sim_mode(sim_mode)
     try:
         t0 = time.perf_counter()
@@ -238,10 +224,6 @@ def _run_fig5_leg(
         wall = time.perf_counter() - t0
     finally:
         set_default_sim_mode(prior_mode)
-        if prior is None:
-            os.environ.pop(DISABLE_ENV, None)
-        else:
-            os.environ[DISABLE_ENV] = prior
     out = {
         "wall_s": wall,
         "ops_per_s": n_ops / wall if wall > 0 else None,
@@ -257,22 +239,8 @@ def _run_fig5_leg(
 
 
 def bench_fig5_put_leg(n_ops: int = 400, size: int = 1 << 12) -> dict:
-    """Fig5-style put leg end to end; cache on vs off must agree exactly."""
-    cached = _run_fig5_leg(n_ops, size, disable_cache=False)
-    uncached = _run_fig5_leg(n_ops, size, disable_cache=True)
-    identical = (
-        cached["put_ms"] == uncached["put_ms"]
-        and cached["sim_time_s"] == uncached["sim_time_s"]
-        and cached["put_count"] == uncached["put_count"]
-    )
-    return {
-        "n_ops": n_ops,
-        "size_bytes": size,
-        "cached": cached,
-        "uncached": uncached,
-        "speedup": uncached["wall_s"] / cached["wall_s"],
-        "results_identical": identical,
-    }
+    """Fig5-style put leg end to end."""
+    return {"n_ops": n_ops, "size_bytes": size, **_run_fig5_leg(n_ops, size)}
 
 
 def bench_multicast_fanout(n_ops: int = 150, size: int = 1 << 14) -> dict:
@@ -323,12 +291,12 @@ def bench_approx_vs_exact(n_ops: int = 400, size: int = 1 << 16) -> dict:
     asserts the drift stays within ±5%.
     """
     exact = min(
-        (_run_fig5_leg(n_ops, size, disable_cache=False) for _ in range(2)),
+        (_run_fig5_leg(n_ops, size) for _ in range(2)),
         key=lambda r: r["wall_s"],
     )
     approx = min(
         (
-            _run_fig5_leg(n_ops, size, disable_cache=False, sim_mode="approx")
+            _run_fig5_leg(n_ops, size, sim_mode="approx")
             for _ in range(2)
         ),
         key=lambda r: r["wall_s"],
@@ -361,9 +329,9 @@ def bench_trace_overhead(n_ops: int = 400, size: int = 1 << 12) -> dict:
     """
     untraced_runs, traced_runs = [], []
     for _ in range(3):
-        untraced_runs.append(_run_fig5_leg(n_ops, size, disable_cache=False))
+        untraced_runs.append(_run_fig5_leg(n_ops, size))
         traced_runs.append(
-            _run_fig5_leg(n_ops, size, disable_cache=False, traced=True)
+            _run_fig5_leg(n_ops, size, traced=True)
         )
     untraced = min(untraced_runs, key=lambda r: r["wall_s"])
     traced = min(traced_runs, key=lambda r: r["wall_s"])
@@ -536,7 +504,6 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
         read_floor = bench_harmonia_read_floor()
     # Hard determinism/overhead contracts (DESIGN.md §5e/§5g): fail the
     # suite loudly rather than publish a report that quietly violates them.
-    assert fig5["results_identical"], "flow-cache on/off changed results"
     assert trace["results_identical"], "tracing perturbed simulated results"
     assert trace["overhead_ok"], (
         f"trace overhead {trace['overhead']:.2f}x exceeds "
@@ -595,13 +562,10 @@ def format_report(report: dict) -> str:
         f"  kernel_churn   : {k['events_per_s']:,.0f} events/s"
         f" ({k['scheduled_events']} events in {k['wall_s']:.3f}s,"
         f" call-pool reuse {k['pools']['call_pool']['reuse_rate']:.3f})",
-        f"  switch_lookup  : {l['cached']['lookups_per_s']:,.0f} lookups/s cached vs"
-        f" {l['uncached']['lookups_per_s']:,.0f} uncached"
-        f" at {l['n_rules']} rules -> {l['speedup']:.1f}x"
-        f" (hit rate {l['cached']['hit_rate']:.3f})",
-        f"  fig5_put_leg   : {f['cached']['wall_s']:.3f}s cached vs"
-        f" {f['uncached']['wall_s']:.3f}s uncached -> {f['speedup']:.2f}x,"
-        f" identical={f['results_identical']}",
+        f"  switch_lookup  : {l['lookups_per_s']:,.0f} lookups/s"
+        f" at {l['n_rules']} rules",
+        f"  fig5_put_leg   : {f['ops_per_s']:,.0f} puts/s"
+        f" ({f['n_ops']} puts, {f['installed_rules']} rules, {f['wall_s']:.3f}s)",
     ]
     s = b.get("kernel_steady")
     if s is not None:

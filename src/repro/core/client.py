@@ -179,11 +179,11 @@ class NiceClient:
         *re-resolve*: they rotate deterministically to a different vnode
         address of the same subgroup, so a retry never re-presents the
         byte-identical header tuple its failed predecessor used — the
-        switches must re-scan it against their *current* tables instead
-        of serving whatever per-flow state (exact-match cache entries,
-        in-flight buffered copies) the pre-flap/pre-reconcile route left
-        behind.  The subgroup — and therefore the partition and every
-        rule that can match — is unchanged; only the flow identity moves.
+        switches must classify it against their *current* tables instead
+        of serving whatever per-flow state (in-flight buffered copies) the
+        pre-flap/pre-reconcile route left behind.  The subgroup — and
+        therefore the partition and every rule that can match — is
+        unchanged; only the flow identity moves.
         """
         vaddr = self.uni.vnode_for_key(key)
         if attempt == 0:

@@ -959,7 +959,7 @@ class NiceControllerApp(ControllerApp):
         reconnect: recompute the desired ruleset from membership, compare
         against each switch's installed contents by cookie, install what's
         missing, delete what's orphaned, and leave matching rules untouched
-        so the switches' exact-match flow caches stay warm.  Rules injected
+        so a settled switch sees no flow-mods at all.  Rules injected
         by the chaos engine (cookie ``chaos:*``) are outside the desired
         state and deliberately left alone."""
         stats = {"installed": 0, "deleted": 0, "matched": 0, "groups": 0}

@@ -22,8 +22,8 @@ machinery storage nodes already use:
   corrupt rules or membership no matter what it still believes.
 * **Reconciliation** — after takeover the new leader diffs the desired
   ruleset against actual ``FlowTable`` contents by cookie and repairs
-  only the differences (see ``NiceControllerApp.reconcile``), keeping
-  switch flow caches warm instead of reinstalling the world.
+  only the differences (see ``NiceControllerApp.reconcile``), leaving
+  matching rules in place instead of reinstalling the world.
 """
 
 from __future__ import annotations

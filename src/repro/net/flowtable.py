@@ -9,9 +9,9 @@ optional idle timeouts; the controller owns rule lifecycle.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import os
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from typing import List, Optional, Union
 
@@ -60,9 +60,9 @@ class Match:
     def __post_init__(self) -> None:
         object.__setattr__(self, "ip_src", _as_network(self.ip_src))
         object.__setattr__(self, "ip_dst", _as_network(self.ip_dst))
-        # Precompiled (mask, value) int pairs: the flow-table scan calls
-        # ``matches`` once per installed rule on every cache miss, so the
-        # prefix checks must not pay IPv4Network.__contains__'s dispatch.
+        # Precompiled (mask, value) int pairs: the flow table's signatures
+        # and hash keys are built from them, and ``matches`` uses them so
+        # the prefix checks do not pay IPv4Network.__contains__'s dispatch.
         src, dst = self.ip_src, self.ip_dst
         object.__setattr__(self, "_src_mask", None if src is None else src._netmask)
         object.__setattr__(self, "_src_val", None if src is None else src._value)
@@ -185,18 +185,86 @@ def _rule_sort_key(rule: Rule) -> tuple:
     return (-rule.priority, rule.seq)
 
 
-#: Sentinel distinguishing "cached table miss" (None) from "not cached".
-_NOT_CACHED = object()
+def _signature(match: Match) -> tuple:
+    """Which header fields ``match`` inspects, with its prefix masks.
+
+    Rules that share a signature are found by one hash probe on the
+    packet's header values under that signature."""
+    return (
+        match.in_port is not None,
+        match.eth_dst is not None,
+        match._src_mask,
+        match._dst_mask,
+        match.proto is not None,
+        match.dport is not None,
+    )
 
 
-def flow_cache_enabled_default() -> bool:
-    """Process-wide default for the exact-match cache.
+def _match_key(match: Match):
+    """The index key of ``match``: the values it requires, in signature
+    order; a bare value when the signature has one field."""
+    parts = []
+    if match.in_port is not None:
+        parts.append(match.in_port)
+    if match.eth_dst is not None:
+        parts.append(match.eth_dst)
+    if match._src_mask is not None:
+        parts.append(match._src_val)
+    if match._dst_mask is not None:
+        parts.append(match._dst_val)
+    if match.proto is not None:
+        parts.append(match.proto._value_)
+    if match.dport is not None:
+        parts.append(match.dport)
+    return parts[0] if len(parts) == 1 else tuple(parts)
 
-    ``REPRO_DISABLE_FLOW_CACHE=1`` is the escape hatch used by the
-    determinism regression tests and the perf harness to measure the
-    wildcard-only slow path; anything else leaves the cache on.
-    """
-    return os.environ.get("REPRO_DISABLE_FLOW_CACHE", "") != "1"
+
+@functools.lru_cache(maxsize=None)
+def _compile_packet_key(signature: tuple):
+    """Build ``f(packet, in_port)`` giving a packet's key under
+    ``signature`` — equal to :func:`_match_key` of exactly the matches of
+    that signature the packet satisfies.
+
+    The function is generated with its masks inlined, because it runs once
+    per probed signature on every switch hop.  ``Proto`` members key on
+    their string value, whose hash is cached, instead of the enum's
+    Python-level ``__hash__``.  Memoized: a cluster's switches share a
+    handful of signatures, and compiling one costs as much as indexing
+    dozens of rules."""
+    in_port, eth_dst, src_mask, dst_mask, proto, dport = signature
+    parts = []
+    if in_port:
+        parts.append("in_port")
+    if eth_dst:
+        parts.append("p.dst_mac")
+    if src_mask is not None:
+        parts.append(f"p.src_ip._value & {src_mask}")
+    if dst_mask is not None:
+        parts.append(f"p.dst_ip._value & {dst_mask}")
+    if proto:
+        parts.append("p.proto._value_")
+    if dport:
+        parts.append("p.dport")
+    body = parts[0] if len(parts) == 1 else "(" + "".join(f"{x}, " for x in parts) + ")"
+    return eval(f"lambda p, in_port: {body}")
+
+
+class _Subtable:
+    """The rules of one signature, hashed on their match key."""
+
+    __slots__ = ("key", "rules", "tied", "priorities", "top")
+
+    def __init__(self, signature: tuple):
+        self.key = _compile_packet_key(signature)
+        #: match key -> the winning rule for that key.
+        self.rules: dict = {}
+        #: match key -> every rule with that key, winner first; only for
+        #: keys held by more than one rule.
+        self.tied: dict = {}
+        #: priority -> rule count; ``top`` is its largest key, the best
+        #: priority a probe of this subtable can return.
+        self.priorities: dict = {}
+        self.top = 0
 
 
 class FlowTable:
@@ -206,28 +274,19 @@ class FlowTable:
     insertion order (deterministic).  The table enforces a capacity so the
     §4.6 switch-scalability analysis can be exercised for real.
 
-    An exact-match flow cache (the Open vSwitch megaflow/microflow split,
-    which the §5.1 OVS deployment relies on) fronts the wildcard table:
-    the first lookup for a header tuple pays the linear scan, subsequent
-    packets of the same flow hit a dict keyed on
-    ``(in_port, eth_dst, src_ip, dst_ip, proto, dport)``.  Every table
-    mutation (``add`` / ``remove`` / ``remove_by_cookie`` / ``expire_idle``)
-    bumps a generation counter; a stale cache is discarded wholesale on the
-    next lookup, so flow-mods and idle expiry invalidate correctly.  The
-    cache is a pure memo over fields the wildcard match inspects, so it
-    never changes which rule a packet selects — only how fast.
+    Lookup is a tuple-space search (Srinivasan, Suri and Varghese,
+    SIGCOMM '99; the Open vSwitch classifier, NSDI '15).  Rules are
+    grouped by signature — which fields they match and the masks of
+    their prefixes — into one hash subtable each.  A lookup probes the
+    subtables in descending order of their best priority and stops once
+    no remaining subtable can beat the rule already found.  NICE's rule
+    census has 7 signatures per leaf and 4 per spine however many rules
+    there are, so a lookup costs at most that many dict probes.  Every
+    mutation keeps the subtables current; the sorted rule list is kept
+    beside them for iteration and for the linear-scan oracle.
     """
 
-    #: Cached exact-match entries before the memo is wiped (bounds memory on
-    #: adversarial many-flow workloads; eviction-by-reset keeps determinism).
-    CACHE_LIMIT = 65536
-
-    def __init__(
-        self,
-        capacity: int = 128 * 1024,
-        cache_enabled: Optional[bool] = None,
-        owner=None,
-    ):
+    def __init__(self, capacity: int = 128 * 1024, owner=None):
         if capacity < 1:
             raise ValueError(f"capacity must be positive: {capacity}")
         self.capacity = capacity
@@ -236,14 +295,10 @@ class FlowTable:
         #: itself has no simulator reference.
         self.owner = owner
         self._rules: List[Rule] = []
-        self.cache_enabled = (
-            flow_cache_enabled_default() if cache_enabled is None else cache_enabled
-        )
-        self._cache: dict = {}
-        self._generation = 0
-        self._cache_generation = 0
-        self.cache_hits = 0
-        self.cache_misses = 0
+        self._subtables: dict = {}
+        #: ``(top, rules, key)`` of every subtable in descending order of
+        #: ``top`` — what ``lookup`` walks.
+        self._probe: List[tuple] = []
 
     def __len__(self) -> int:
         return len(self._rules)
@@ -260,19 +315,73 @@ class FlowTable:
         """
         return iter(self._rules)
 
-    @property
-    def generation(self) -> int:
-        """Bumped on every mutation; the cache is valid for one generation."""
-        return self._generation
-
-    def _trace_mod(self, name: str, **args) -> None:
-        """Emit a flow-mod trace event via the owning switch (if traced)."""
+    def _tracer(self):
+        """The owning switch's tracer, or None when nothing traces."""
         owner = self.owner
-        if owner is None:
-            return
-        tr = owner.sim.tracer
-        if tr is not None:
-            tr.instant(name, "flowtable", node=owner.name, **args)
+        return None if owner is None else owner.sim.tracer
+
+    def _reorder(self) -> None:
+        subs = sorted(self._subtables.values(), key=lambda t: -t.top)
+        self._probe = [(sub.top, sub.rules, sub.key) for sub in subs]
+
+    def _index(self, rule: Rule) -> None:
+        match = rule.match
+        signature = _signature(match)
+        sub = self._subtables.get(signature)
+        prio = rule.priority
+        reorder = sub is None or prio > sub.top
+        if sub is None:
+            sub = self._subtables[signature] = _Subtable(signature)
+        key = _match_key(match)
+        held = sub.rules.get(key)
+        if held is None:
+            sub.rules[key] = rule
+        else:
+            tied = sub.tied.get(key) or [held]
+            insort(tied, rule, key=_rule_sort_key)
+            sub.tied[key] = tied
+            sub.rules[key] = tied[0]
+        sub.priorities[prio] = sub.priorities.get(prio, 0) + 1
+        if reorder:
+            sub.top = prio
+            self._reorder()
+
+    def _unindex(self, rule: Rule) -> bool:
+        """Drop ``rule`` from its subtable; False if the table lacks it."""
+        match = rule.match
+        signature = _signature(match)
+        sub = self._subtables.get(signature)
+        if sub is None:
+            return False
+        key = _match_key(match)
+        tied = sub.tied.get(key)
+        if tied is None:
+            if sub.rules.get(key) is not rule:
+                return False
+            del sub.rules[key]
+        else:
+            for i, held in enumerate(tied):
+                if held is rule:
+                    break
+            else:
+                return False
+            del tied[i]
+            sub.rules[key] = tied[0]
+            if len(tied) == 1:
+                del sub.tied[key]
+        prio = rule.priority
+        left = sub.priorities[prio] - 1
+        if left:
+            sub.priorities[prio] = left
+        else:
+            del sub.priorities[prio]
+            if not sub.rules:
+                del self._subtables[signature]
+                self._reorder()
+            elif prio == sub.top:
+                sub.top = max(sub.priorities)
+                self._reorder()
+        return True
 
     def add(self, rule: Rule) -> Rule:
         if len(self._rules) >= self.capacity:
@@ -280,62 +389,68 @@ class FlowTable:
                 f"flow table full ({self.capacity} entries) — see §4.6 scalability"
             )
         insort(self._rules, rule, key=_rule_sort_key)
-        self._generation += 1
-        self._trace_mod(
-            "flow_add", cookie=rule.cookie, priority=rule.priority,
-            match=str(rule.match), rules=len(self._rules),
-        )
+        self._index(rule)
+        tr = self._tracer()
+        if tr is not None:
+            tr.instant(
+                "flow_add", "flowtable", node=self.owner.name, cookie=rule.cookie,
+                priority=rule.priority, match=str(rule.match), rules=len(self._rules),
+            )
         return rule
 
     def remove(self, rule: Rule) -> None:
-        try:
-            self._rules.remove(rule)
-        except ValueError:
-            pass
-        else:
-            self._generation += 1
-            self._trace_mod(
-                "flow_remove", cookie=rule.cookie, rules=len(self._rules)
+        """Delete this very rule object (a no-op if the table lacks it)."""
+        if not self._unindex(rule):
+            return
+        rules = self._rules
+        i = bisect_left(rules, _rule_sort_key(rule), key=_rule_sort_key)
+        while rules[i] is not rule:
+            i += 1
+        del rules[i]
+        tr = self._tracer()
+        if tr is not None:
+            tr.instant(
+                "flow_remove", "flowtable", node=self.owner.name,
+                cookie=rule.cookie, rules=len(rules),
             )
+
+    def _remove_where(self, doomed) -> List[Rule]:
+        """Delete every rule for which ``doomed(rule)`` holds."""
+        keep, gone = [], []
+        for r in self._rules:
+            (gone if doomed(r) else keep).append(r)
+        if gone:
+            self._rules = keep
+            for r in gone:
+                self._unindex(r)
+        return gone
 
     def remove_by_cookie(self, cookie: str) -> int:
         """Delete all rules tagged with ``cookie``; returns removal count."""
-        before = len(self._rules)
-        self._rules = [r for r in self._rules if r.cookie != cookie]
-        removed = before - len(self._rules)
+        removed = len(self._remove_where(lambda r: r.cookie == cookie))
         if removed:
-            self._generation += 1
-            self._trace_mod(
-                "flow_remove_cookie", cookie=cookie, removed=removed,
-                rules=len(self._rules),
-            )
+            tr = self._tracer()
+            if tr is not None:
+                tr.instant(
+                    "flow_remove_cookie", "flowtable", node=self.owner.name,
+                    cookie=cookie, removed=removed, rules=len(self._rules),
+                )
         return removed
 
     def lookup(self, packet: Packet, in_port: Optional[int] = None) -> Optional[Rule]:
-        if not self.cache_enabled:
-            return self._scan(packet, in_port)
-        if self._cache_generation != self._generation or len(self._cache) > self.CACHE_LIMIT:
-            self._cache.clear()
-            self._cache_generation = self._generation
-        key = (
-            in_port,
-            packet.dst_mac,
-            packet.src_ip,
-            packet.dst_ip,
-            packet.proto,
-            packet.dport,
-        )
-        hit = self._cache.get(key, _NOT_CACHED)
-        if hit is not _NOT_CACHED:
-            self.cache_hits += 1
-            return hit
-        self.cache_misses += 1
-        rule = self._scan(packet, in_port)
-        self._cache[key] = rule
-        return rule
+        best = None
+        for top, rules, key in self._probe:
+            if best is not None and top < best.priority:
+                break
+            rule = rules.get(key(packet, in_port))
+            if rule is not None and (
+                best is None or _rule_sort_key(rule) < _rule_sort_key(best)
+            ):
+                best = rule
+        return best
 
     def _scan(self, packet: Packet, in_port: Optional[int]) -> Optional[Rule]:
-        """The wildcard slow path: linear scan in priority order."""
+        """Linear scan in priority order: the test oracle for ``lookup``."""
         for rule in self._rules:
             if rule.match.matches(packet, in_port):
                 return rule
@@ -343,17 +458,16 @@ class FlowTable:
 
     def expire_idle(self, now: float) -> int:
         """Evict rules idle past their timeout; returns eviction count."""
-        keep = []
-        evicted = 0
-        for r in self._rules:
-            if r.idle_timeout is not None and now - r.last_used > r.idle_timeout:
-                evicted += 1
-            else:
-                keep.append(r)
-        self._rules = keep
+        evicted = len(self._remove_where(
+            lambda r: r.idle_timeout is not None and now - r.last_used > r.idle_timeout
+        ))
         if evicted:
-            self._generation += 1
-            self._trace_mod("flow_expire", evicted=evicted, rules=len(self._rules))
+            tr = self._tracer()
+            if tr is not None:
+                tr.instant(
+                    "flow_expire", "flowtable", node=self.owner.name,
+                    evicted=evicted, rules=len(self._rules),
+                )
         return evicted
 
 

@@ -7,7 +7,7 @@ them into one dotted-name tree (``client.c0.put_latency``,
 ``node.n3.aborts``, ``link.sw0->n3.tx_bytes``, …) without copying — the
 registry holds references, so a snapshot always reflects live state.
 
-Plain-``int`` statistics (e.g. the flow-cache hit counters) register as
+Plain-``int`` statistics (e.g. the per-switch flow-table sizes) register as
 *gauges*: zero-argument callables sampled at snapshot time.
 
 Snapshots are deterministic: same cluster state → byte-identical JSON
@@ -171,10 +171,6 @@ class MetricsRegistry:
             table = getattr(sw, "table", None)
             if table is not None:
                 reg.gauge(f"{base}.flowtable.rules", lambda t=table: len(t))
-                reg.gauge(f"{base}.flowtable.cache_hits",
-                          lambda t=table: t.cache_hits)
-                reg.gauge(f"{base}.flowtable.cache_misses",
-                          lambda t=table: t.cache_misses)
         for gw in getattr(cluster, "gateways", []):
             reg.collect_object(gw, f"{p}gateway.{gw.host.name}")
         ctrl = getattr(cluster, "control_plane", None)

@@ -1,9 +1,8 @@
 """Tests for the parallel sweep orchestrator (repro.bench.parallel).
 
-The bar (set by PR 1 for the flow cache): the optimization must be
-invisible in the results.  ``--jobs N`` output must be bit-identical to
-``--jobs 1`` output, and a cache hit must be indistinguishable from a
-fresh run.
+The bar: the optimization must be invisible in the results.  ``--jobs N``
+output must be bit-identical to ``--jobs 1`` output, and a cache hit must
+be indistinguishable from a fresh run.
 """
 
 import concurrent.futures

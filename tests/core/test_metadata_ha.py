@@ -156,7 +156,7 @@ def test_reconcile_repairs_only_the_diff():
     cluster = make_cluster()
     sw = cluster.switch
     # Keep an untouched rule's identity to prove matching rules survive
-    # reconciliation in place (flow caches stay warm).
+    # reconciliation in place (no reinstall churn).
     survivor = next(r for r in sw.table.iter_rules() if r.cookie == "arp")
     # Damage the table: drop one legitimate rule, add one stray.
     victim_cookie = next(

@@ -1,11 +1,11 @@
 """Determinism regression: performance machinery must not change results.
 
-Each knob that exists purely for speed — the switch's exact-match flow
-cache, the vectorized multicast fan-out batching, the approx simulation
-mode's *exact* setting — runs a small fig5-style put leg twice with the
-same seed, once per path, and asserts bit-identical result rows and final
-simulated time.  This is the contract that lets each optimization ship at
-all: a memo or a batched schedule, never a semantic change.
+Each knob that exists purely for speed — the vectorized multicast
+fan-out batching, the approx simulation mode's *exact* setting — runs a
+small fig5-style put leg twice with the same seed, once per path, and
+asserts bit-identical result rows and final simulated time.  This is the
+contract that lets each optimization ship at all: a batched schedule,
+never a semantic change.
 """
 
 from repro.bench.harness import build_nice, run_to_completion
@@ -35,33 +35,11 @@ def _fig5_leg(n_ops=8, sizes=(4, 1 << 14)):
             )
 
     run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
-    stats = {
-        "cache_hits": cluster.switch.table.cache_hits,
-        "cache_misses": cluster.switch.table.cache_misses,
-        "cache_enabled": cluster.switch.table.cache_enabled,
-    }
-    return rows, cluster.sim.now, stats
+    return rows, cluster.sim.now
 
 
-def test_fig5_leg_identical_with_cache_on_and_off(monkeypatch):
-    monkeypatch.setenv("REPRO_DISABLE_FLOW_CACHE", "0")
-    rows_on, now_on, stats_on = _fig5_leg()
-    monkeypatch.setenv("REPRO_DISABLE_FLOW_CACHE", "1")
-    rows_off, now_off, stats_off = _fig5_leg()
-
-    # The runs really did take the two different paths.
-    assert stats_on["cache_enabled"] and not stats_off["cache_enabled"]
-    assert stats_on["cache_hits"] > 0
-    assert stats_off["cache_hits"] == stats_off["cache_misses"] == 0
-
-    # Bit-identical outcomes: every row field and the final clock.
-    assert rows_on == rows_off
-    assert now_on == now_off
-
-
-def test_same_seed_same_results_with_cache(monkeypatch):
-    """Two identical cache-enabled runs agree with themselves (sanity)."""
-    monkeypatch.setenv("REPRO_DISABLE_FLOW_CACHE", "0")
+def test_same_seed_same_results():
+    """Two identical runs agree with themselves (sanity)."""
     a = _fig5_leg(n_ops=4, sizes=(1 << 10,))
     b = _fig5_leg(n_ops=4, sizes=(1 << 10,))
     assert a[0] == b[0]
@@ -81,9 +59,9 @@ def test_fig5_leg_identical_with_and_without_tx_batching(monkeypatch):
     bit must agree.
     """
     monkeypatch.delenv("REPRO_NO_TX_BATCH", raising=False)
-    rows_batched, now_batched, _ = _fig5_leg()
+    rows_batched, now_batched = _fig5_leg()
     monkeypatch.setenv("REPRO_NO_TX_BATCH", "1")
-    rows_unbatched, now_unbatched, _ = _fig5_leg()
+    rows_unbatched, now_unbatched = _fig5_leg()
     assert rows_batched == rows_unbatched
     assert now_batched == now_unbatched
 
@@ -101,8 +79,8 @@ def _sim_mode_leg(mode, n_ops=8, sizes=(4, 1 << 14)):
 
 def test_sim_mode_approx_is_deterministic():
     """Same seed, same approx run — approximate but reproducible."""
-    rows_a, now_a, _ = _sim_mode_leg("approx")
-    rows_b, now_b, _ = _sim_mode_leg("approx")
+    rows_a, now_a = _sim_mode_leg("approx")
+    rows_b, now_b = _sim_mode_leg("approx")
     assert rows_a == rows_b
     assert now_a == now_b
 
@@ -115,10 +93,10 @@ def test_sim_mode_exact_untouched_by_approx_plumbing():
     on and back off around it — the process-global default must leak into
     nothing but configs built while it is set.
     """
-    rows_a, now_a, _ = _fig5_leg()
+    rows_a, now_a = _fig5_leg()
     set_default_sim_mode("approx")
     set_default_sim_mode("exact")
-    rows_b, now_b, _ = _fig5_leg()
+    rows_b, now_b = _fig5_leg()
     assert rows_a == rows_b
     assert now_a == now_b
 
@@ -126,8 +104,8 @@ def test_sim_mode_exact_untouched_by_approx_plumbing():
 def test_sim_mode_approx_tracks_exact_closely():
     """Approx results are not required to be identical, but must stay
     within the ±5% envelope the mode advertises (EXPERIMENTS.md)."""
-    rows_exact, now_exact, _ = _sim_mode_leg("exact")
-    rows_approx, now_approx, _ = _sim_mode_leg("approx")
+    rows_exact, now_exact = _sim_mode_leg("exact")
+    rows_approx, now_approx = _sim_mode_leg("approx")
     assert abs(now_approx - now_exact) <= 0.05 * now_exact
     for re_, ra in zip(rows_exact, rows_approx):
         assert ra["count"] == re_["count"]
@@ -254,7 +232,7 @@ def test_single_switch_default_untouched_by_fabric_knobs():
     """The pre-fabric seed path: explicit fabric defaults (n_racks=1 etc.)
     must build the identical single-switch cluster and produce bit-identical
     results — the 81-cell baseline depends on it."""
-    rows_default, now_default, _ = _fig5_leg(n_ops=4, sizes=(1024,))
+    rows_default, now_default = _fig5_leg(n_ops=4, sizes=(1024,))
 
     explicit = build_nice(
         n_storage_nodes=15, n_clients=1,
