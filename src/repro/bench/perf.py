@@ -1,6 +1,6 @@
 """Perf-regression microbenchmark suite.
 
-The benches cover the layers of the simulator fast path (schema v5):
+The benches cover the layers of the simulator fast path (schema v6):
 
 * ``kernel_churn`` — raw event-loop throughput: processes spinning on
   timeouts, ``AnyOf``/``AllOf`` joins, and deferred calls (the allocation
@@ -10,12 +10,11 @@ The benches cover the layers of the simulator fast path (schema v5):
   pending timeouts of which most are cancelled before firing.
 * ``switch_lookup`` — :class:`~repro.net.flowtable.FlowTable` classifier
   lookup rate under N installed rules.
-* ``multicast_fanout`` — end-to-end put legs at replication 3/5/7, the
-  workload the vectorized group fan-out serves.
+* ``multicast_fanout`` — end-to-end put legs at replication 3/5/7: per-op
+  event counts of the group fan-out (one end-of-serialization call and one
+  delivery per leg and hop).
 * ``fig5_put_leg`` — an end-to-end fig5-style put leg on a warmed NICE
   cluster with a large (~800-rule) switch table.
-* ``approx_vs_exact`` — the same leg under ``sim_mode="approx"`` vs
-  ``"exact"``: event reduction, wall speedup, and result drift.
 * ``harmonia_read_floor`` — hot-partition YCSB-C read throughput at R=3,
   harmonia mode vs NICE-LB (DESIGN.md §5j).  The §4.5 divisions leave the
   primary with half an evenly-spread client population, so harmonia's
@@ -34,7 +33,7 @@ The benches cover the layers of the simulator fast path (schema v5):
 ``python -m repro.bench perf`` runs the suite and writes ``BENCH_perf.json``
 (schema documented in EXPERIMENTS.md) so every future PR has a perf
 trajectory to regress against.  Wall-clock numbers are machine-dependent;
-the *ratios* (approx, trace overhead) and the simulated results are not.
+the *ratios* (trace overhead) and the simulated results are not.
 Kernel benches also report :meth:`Simulator.pool_stats` so allocator
 regressions (pool thrash, reuse-rate collapse) show up without a profiler.
 """
@@ -48,7 +47,6 @@ import sys
 import time
 from typing import Optional
 
-from ..core import set_default_sim_mode
 from ..net import FlowTable, IPv4Address, IPv4Network, Match, Output, Packet, Proto, Rule
 from ..obs import install as install_tracer
 from ..sim import AllOf, AnyOf, Simulator
@@ -59,7 +57,7 @@ from .parallel import provenance
 
 __all__ = ["run_suite", "format_report", "DEFAULT_OUT"]
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 DEFAULT_OUT = "BENCH_perf.json"
 
 #: Ceiling on the live-tracer wall-clock multiplier (satellite of the §5g
@@ -198,32 +196,21 @@ def bench_switch_lookup(
 E2E_PARTITIONS = 128
 
 
-def _run_fig5_leg(
-    n_ops: int,
-    size: int,
-    traced: bool = False,
-    sim_mode: str = "exact",
-) -> dict:
-    prior_mode = set_default_sim_mode(sim_mode)
-    try:
-        t0 = time.perf_counter()
-        cluster = build_nice(
-            n_storage_nodes=15, n_clients=1, n_partitions=E2E_PARTITIONS
-        )
-        tracer = install_tracer(cluster.sim, label="perf") if traced else None
-        client = cluster.clients[0]
-        key = f"perf-{size}"
+def _run_fig5_leg(n_ops: int, size: int, traced: bool = False) -> dict:
+    t0 = time.perf_counter()
+    cluster = build_nice(n_storage_nodes=15, n_clients=1, n_partitions=E2E_PARTITIONS)
+    tracer = install_tracer(cluster.sim, label="perf") if traced else None
+    client = cluster.clients[0]
+    key = f"perf-{size}"
 
-        def driver(sim):
-            seed = yield client.put(key, "x", size)
-            assert seed.ok, "seed put failed"
-            tally = yield closed_loop_puts(client, sim, n_ops, size, keys=[key])
-            return tally
+    def driver(sim):
+        seed = yield client.put(key, "x", size)
+        assert seed.ok, "seed put failed"
+        tally = yield closed_loop_puts(client, sim, n_ops, size, keys=[key])
+        return tally
 
-        tally = run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
-        wall = time.perf_counter() - t0
-    finally:
-        set_default_sim_mode(prior_mode)
+    tally = run_to_completion(cluster, cluster.sim.process(driver(cluster.sim)))
+    wall = time.perf_counter() - t0
     out = {
         "wall_s": wall,
         "ops_per_s": n_ops / wall if wall > 0 else None,
@@ -244,11 +231,10 @@ def bench_fig5_put_leg(n_ops: int = 400, size: int = 1 << 12) -> dict:
 
 
 def bench_multicast_fanout(n_ops: int = 150, size: int = 1 << 14) -> dict:
-    """Put legs at replication 3/5/7: the vectorized fan-out workload.
+    """Put legs at replication 3/5/7: the group fan-out workload.
 
-    Per-op event counts are the durable signal here — the batched group
-    fan-out schedules one shared serialize chain plus R delivery legs
-    instead of R full transmit chains.
+    Per-op event counts are the durable signal here — each fan-out leg
+    costs one end-of-serialization call and one delivery per hop.
     """
     out = {"n_ops": n_ops, "size_bytes": size, "legs": []}
     for r in (3, 5, 7):
@@ -278,42 +264,6 @@ def bench_multicast_fanout(n_ops: int = 150, size: int = 1 << 14) -> dict:
             }
         )
     return out
-
-
-def bench_approx_vs_exact(n_ops: int = 400, size: int = 1 << 16) -> dict:
-    """Fig5-style leg in ``sim_mode="approx"`` vs ``"exact"``.
-
-    Approx aggregates data-plane link service analytically (1 event per
-    packet per hop instead of the grant/serialize/finish/deliver chain)
-    and runs data-plane switch lookups inline; protocol traffic stays
-    discrete.  Reports the event reduction, wall speedup (min of two runs
-    per mode), and the drift of put latency / simulated time — the suite
-    asserts the drift stays within ±5%.
-    """
-    exact = min(
-        (_run_fig5_leg(n_ops, size) for _ in range(2)),
-        key=lambda r: r["wall_s"],
-    )
-    approx = min(
-        (
-            _run_fig5_leg(n_ops, size, sim_mode="approx")
-            for _ in range(2)
-        ),
-        key=lambda r: r["wall_s"],
-    )
-    put_err = abs(approx["put_ms"] - exact["put_ms"]) / exact["put_ms"]
-    time_err = abs(approx["sim_time_s"] - exact["sim_time_s"]) / exact["sim_time_s"]
-    return {
-        "n_ops": n_ops,
-        "size_bytes": size,
-        "exact": exact,
-        "approx": approx,
-        "wall_speedup": exact["wall_s"] / approx["wall_s"],
-        "event_reduction": exact["scheduled_events"] / approx["scheduled_events"],
-        "put_ms_rel_err": put_err,
-        "sim_time_rel_err": time_err,
-        "within_tolerance": put_err <= 0.05 and time_err <= 0.05,
-    }
 
 
 def bench_trace_overhead(n_ops: int = 400, size: int = 1 << 12) -> dict:
@@ -396,8 +346,6 @@ def bench_harmonia_read_floor(
 
 # ------------------------------------------------------------ plan_scale
 #: The fabric rungs plan_scale climbs (racks, hosts_per_rack, rule budget).
-#: Clusters build in approx mode — the planner under test is
-#: mode-independent and the data plane never runs here.
 PLAN_SCALE_RUNGS = ((4, 16, 1024), (10, 30, 4096), (20, 50, 8192))
 PLAN_SCALE_SMOKE_RUNGS = ((4, 16, 1024),)
 
@@ -409,7 +357,6 @@ def _plan_scale_rung(racks: int, hosts_per_rack: int, budget: int) -> dict:
         n_clients=2,
         n_racks=racks,
         switch_rule_budget=budget,
-        sim_mode="approx",
     )
     build_s = time.perf_counter() - t0
     sim, ctrl = cluster.sim, cluster.controller
@@ -488,7 +435,6 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
         lookup = bench_switch_lookup(n_rules=1000, n_lookups=3000)
         fanout = bench_multicast_fanout(n_ops=30)
         fig5 = bench_fig5_put_leg(n_ops=40)
-        approx = bench_approx_vs_exact(n_ops=40)
         trace = bench_trace_overhead(n_ops=40)
         plan = bench_plan_scale(rungs=PLAN_SCALE_SMOKE_RUNGS)
         read_floor = bench_harmonia_read_floor(n_ops_per_client=300)
@@ -498,7 +444,6 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
         lookup = bench_switch_lookup()
         fanout = bench_multicast_fanout()
         fig5 = bench_fig5_put_leg()
-        approx = bench_approx_vs_exact()
         trace = bench_trace_overhead()
         plan = bench_plan_scale()
         read_floor = bench_harmonia_read_floor()
@@ -508,10 +453,6 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
     assert trace["overhead_ok"], (
         f"trace overhead {trace['overhead']:.2f}x exceeds "
         f"{TRACE_OVERHEAD_MAX:.2f}x"
-    )
-    assert approx["within_tolerance"], (
-        f"approx drifted beyond ±5%: put_ms {approx['put_ms_rel_err']:.3f}, "
-        f"sim_time {approx['sim_time_rel_err']:.3f}"
     )
     assert plan["all_warm_cached"], (
         "incremental planner recomputed plans on a warm reconcile: "
@@ -540,7 +481,6 @@ def run_suite(smoke: bool = False, out_path: Optional[str] = DEFAULT_OUT) -> dic
             "switch_lookup": lookup,
             "multicast_fanout": fanout,
             "fig5_put_leg": fig5,
-            "approx_vs_exact": approx,
             "trace_overhead": trace,
             "plan_scale": plan,
             "harmonia_read_floor": read_floor,
@@ -582,14 +522,6 @@ def format_report(report: dict) -> str:
             for leg in m["legs"]
         )
         lines.append(f"  multicast_fanout: {per_r}")
-    a = b.get("approx_vs_exact")
-    if a is not None:
-        lines.append(
-            f"  approx_vs_exact: {a['event_reduction']:.2f}x fewer events,"
-            f" {a['wall_speedup']:.2f}x wall,"
-            f" drift put_ms {a['put_ms_rel_err']:.2%} /"
-            f" sim_time {a['sim_time_rel_err']:.2%}"
-        )
     p = b.get("plan_scale")
     if p is not None:
         per_rung = ", ".join(

@@ -1,9 +1,14 @@
 """Simulated persistent storage device.
 
-Models an SSD (the testbed nodes have 120 GB SSDs, §6) as a capacity-1
-resource with per-op base latency plus byte-rate service time.  *Forced*
-writes (the gray boxes of Fig 3 — log appends and object writes that must
-be durable before acknowledging) additionally wait for a flush.
+Models an SSD (the testbed nodes have 120 GB SSDs, §6) as a FIFO server
+with per-op base latency plus byte-rate service time.  Like a link, the
+device is fully described by the instant it next goes free (``_free_at``):
+an IO issued at ``now`` completes at ``max(now, free_at) + service``, and
+that completion is ONE kernel call.  The service time is fixed when the IO
+is *issued*, so :meth:`Disk.set_degraded` applies to IO issued after the
+call.  *Forced* writes (the gray boxes of Fig 3 — log appends and object
+writes that must be durable before acknowledging) additionally wait for a
+flush.
 
 Flushes are *group-committed*: concurrent forced writes share one flush
 cycle, as real write-ahead logs do — a lone put still pays the full flush
@@ -14,8 +19,8 @@ Crash consistency (DESIGN.md §5k): completed writes land in a modeled
 volatile cache first.  Every write is issued a monotonically increasing
 sequence number; a flush cycle advances the *durability barrier*
 ``durable_seq`` to the highest sequence whose transfer had completed
-before the cycle started (the capacity-1 FIFO device guarantees writes
-complete in issue order).  ``dirty_bytes`` tracks the unflushed window.
+before the cycle started (the FIFO device guarantees writes complete in
+issue order).  ``dirty_bytes`` tracks the unflushed window.
 ``crash()`` models power loss: everything above the barrier is gone.
 A *process* crash, by contrast, does not touch the disk at all — the
 write cache is below the failing software, exactly as an OS page cache
@@ -32,7 +37,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, List, Optional, Tuple
 
-from ..sim import Counter, Event, Resource, Simulator
+from ..sim import Counter, Event, Simulator
 
 __all__ = ["Disk"]
 
@@ -61,7 +66,9 @@ class Disk:
         #: the fail-slow health signal is measured against them.
         self._nominal = (write_bandwidth_bps, read_bandwidth_bps, base_latency_s)
         self.degraded_factor = 1.0
-        self._device = Resource(sim, capacity=1, name=f"{name}.device")
+        #: Absolute sim time at which every IO issued so far has finished
+        #: its transfer (the FIFO device's horizon).
+        self._free_at = 0.0
         self._flush_waiters: List[Event] = []
         self._flusher_running = False
         # -- durability state (§5k) ------------------------------------
@@ -100,54 +107,62 @@ class Disk:
         return seq <= self.durable_seq
 
     def write(self, nbytes: int, forced: bool = False) -> Event:
-        """Persist ``nbytes``; returns a Process to ``yield`` on."""
+        """Persist ``nbytes``; returns an Event to ``yield`` on."""
         if nbytes < 0:
             raise ValueError(f"negative write size: {nbytes}")
         self._issued_seq += 1
-        return self.sim.process(
-            self._io(nbytes, forced, True, self._issued_seq, self._epoch)
-        )
+        return self._io(nbytes, forced, True, self._issued_seq)
 
     def read(self, nbytes: int) -> Event:
         if nbytes < 0:
             raise ValueError(f"negative read size: {nbytes}")
-        return self.sim.process(self._io(nbytes, False, False, 0, self._epoch))
+        return self._io(nbytes, False, False, 0)
 
-    def _io(self, nbytes: int, forced: bool, write: bool, seq: int, epoch: int):
-        req = self._device.request()
-        yield req
-        try:
-            bw = self.write_bandwidth_bps if write else self.read_bandwidth_bps
-            service = self.base_latency_s + nbytes * 8.0 / bw
-            yield self.sim.timeout(service)
-            if write:
-                self.bytes_written.add(nbytes)
-                self.writes.add()
-            else:
-                self.bytes_read.add(nbytes)
-                self.reads.add()
-            # Health signal: observed service time over the factory-spec
-            # expectation for the same transfer (queueing excluded, so a
-            # degraded device reads as exactly its slowdown factor).
-            nom_w, nom_r, nom_base = self._nominal
-            expected = nom_base + nbytes * 8.0 / (nom_w if write else nom_r)
-            if expected > 0.0:  # zero-cost transfers carry no signal
-                self._ratio_sum += service / expected
-                self._ratio_n += 1
-            if write and epoch == self._epoch:
-                self._completed_seq = seq
-                self._dirty.append((seq, nbytes))
-                self.dirty_bytes += nbytes
-        finally:
-            req.release()
-        if forced:
-            # Group commit: join the next flush cycle.
-            done = Event(self.sim)
-            self._flush_waiters.append(done)
-            if not self._flusher_running:
-                self._flusher_running = True
-                self.sim.process(self._flusher())
-            yield done
+    def _io(self, nbytes: int, forced: bool, write: bool, seq: int) -> Event:
+        sim = self.sim
+        bw = self.write_bandwidth_bps if write else self.read_bandwidth_bps
+        service = self.base_latency_s + nbytes * 8.0 / bw
+        start = self._free_at
+        if start < sim._now:
+            start = sim._now
+        self._free_at = end = start + service
+        done = Event(sim)
+        sim._schedule_call_at(
+            end, self._complete, done, nbytes, forced, write, seq, service, self._epoch
+        )
+        return done
+
+    def _complete(
+        self, done: Event, nbytes: int, forced: bool, write: bool, seq: int,
+        service: float, epoch: int,
+    ) -> None:
+        """End of transfer: counters, health signal, dirty bookkeeping."""
+        if write:
+            self.bytes_written.add(nbytes)
+            self.writes.add()
+        else:
+            self.bytes_read.add(nbytes)
+            self.reads.add()
+        # Health signal: observed service time over the factory-spec
+        # expectation for the same transfer (queueing excluded, so a
+        # degraded device reads as exactly its slowdown factor).
+        nom_w, nom_r, nom_base = self._nominal
+        expected = nom_base + nbytes * 8.0 / (nom_w if write else nom_r)
+        if expected > 0.0:  # zero-cost transfers carry no signal
+            self._ratio_sum += service / expected
+            self._ratio_n += 1
+        if write and epoch == self._epoch:
+            self._completed_seq = seq
+            self._dirty.append((seq, nbytes))
+            self.dirty_bytes += nbytes
+        if not forced:
+            done.succeed()
+            return
+        # Group commit: join the next flush cycle.
+        self._flush_waiters.append(done)
+        if not self._flusher_running:
+            self._flusher_running = True
+            self.sim.process(self._flusher())
 
     def _flusher(self):
         """Back-to-back flush cycles while demand exists; each cycle covers
@@ -179,7 +194,9 @@ class Disk:
         platter.  In-flight IO and flush cycles keep their original
         timeline (their waiters fire on schedule; the resumed processes
         observe the dead host and bail), but pre-crash completions no
-        longer advance post-crash durability state."""
+        longer advance post-crash durability state.  The device horizon
+        ``_free_at`` is untouched: post-crash IO still queues behind the
+        in-flight transfers."""
         self._epoch += 1
         self._dirty.clear()
         self.dirty_bytes = 0
@@ -192,7 +209,9 @@ class Disk:
     # -- fail-slow -----------------------------------------------------
     def set_degraded(self, factor: float = 1.0) -> None:
         """Scale service times by ``factor`` (the chaos ``disk_slow``
-        knob); ``factor <= 1`` restores the factory parameters."""
+        knob); ``factor <= 1`` restores the factory parameters.  IO already
+        issued keeps its service time; the new one applies to IO issued
+        after the call."""
         factor = max(1.0, float(factor))
         nom_w, nom_r, nom_base = self._nominal
         self.degraded_factor = factor

@@ -12,36 +12,31 @@ delivered to the far device after the propagation latency.  Channels count
 transmitted bytes for the network-load figures and can drop packets with a
 configured loss rate to exercise the reliable-multicast repair path.
 
-Hot path (DESIGN.md §5g): a transmission is a chain of pooled kernel
-callbacks — grant (urgent, at enqueue time), serialize-start, end-of-
-serialization (counters, loss/jitter draws, queue hand-off), delivery —
-that schedules exactly the same simulated moments the previous
-process-per-packet implementation did, minus the generator, resource and
-timeout allocations.  :func:`transmit_fanout` additionally collapses a
-multicast fan-out over idle, equal-bandwidth channels into ONE shared
-grant/serialize/finish chain carrying the recipient list (per-receiver
-loss/jitter draws run at fire time, in leg order, so RNG streams see the
-same sequence as per-leg transmission).  In flow-approximation mode
-(``ClusterConfig.sim_mode="approx"``) non-exempt packets skip the chain
-entirely: one delivery event, with queueing folded in analytically via
-per-channel service-rate accounting (``_free_at``).
+Hot path (DESIGN.md §5g): a fixed-rate FIFO wire is fully described by the
+instant it next goes free, ``_free_at``.  :meth:`Channel.transmit` computes
+the packet's end of serialization analytically (``max(now, free_at) +
+size*8/bandwidth``) and schedules ONE kernel call at that absolute instant;
+that call does the counters, the link-down check, the loss and jitter
+draws, and schedules the delivery.  Faults and RNG draws therefore happen
+at the end-of-serialization instant, in wire order.  The bandwidth in force
+when a packet is *enqueued* sets its serialization time, so
+:meth:`Link.set_bandwidth` applies to packets transmitted after the call.
 """
 
 from __future__ import annotations
 
-from collections import deque
-from typing import Callable, List, Optional, TYPE_CHECKING
+from typing import List, Optional, TYPE_CHECKING
 
 import numpy as np
 
 from ..obs.tracer import packet_op
-from ..sim import Counter, Simulator, URGENT
-from .packet import Packet, Proto
+from ..sim import Counter, Simulator
+from .packet import Packet
 
 if TYPE_CHECKING:  # pragma: no cover
     from .topology import Device
 
-__all__ = ["Channel", "Link", "Port", "transmit_fanout", "GBPS", "MBPS"]
+__all__ = ["Channel", "Link", "Port", "GBPS", "MBPS"]
 
 GBPS = 1_000_000_000.0
 MBPS = 1_000_000.0
@@ -104,16 +99,12 @@ class Channel:
         self.delay_jitter_s = 0.0
         self._jitter_rng: Optional[np.random.Generator] = None
         self.down = False
-        #: True while a packet occupies the wire (grant pending or
-        #: serializing); set at enqueue time so later transmits queue FIFO.
-        self._sending = False
-        #: Packets waiting for the wire, FIFO.
-        self._queue: deque = deque()
-        #: Analytic wire-occupancy horizon for flow-approximation mode:
-        #: absolute sim time at which the wire frees up.  The exact path
-        #: keeps it current too, so approximated flows queue behind exact
-        #: (protocol) traffic sharing the link.
+        #: Absolute sim time at which the wire finishes serializing every
+        #: packet enqueued so far (the FIFO server's horizon).
         self._free_at = 0.0
+        #: Packets enqueued whose serialization has not yet finished (the
+        #: one on the wire plus those queued behind it).
+        self._in_flight = 0
 
     def set_loss(self, rate: float, rng: Optional[np.random.Generator] = None) -> None:
         """Enable random packet loss (whole control packets; bulk bursts
@@ -155,90 +146,29 @@ class Channel:
         return packet.size_bytes * 8.0 / self.bandwidth_bps
 
     def transmit(self, packet: Packet) -> None:
-        """Start (or queue) transmission of ``packet``."""
+        """Enqueue ``packet``: it finishes serializing once the wire has
+        drained everything ahead of it, and is delivered ``latency_s``
+        (+ jitter) after that."""
         sim = self.sim
-        if sim.approx_mode:
-            ex = sim.approx_exempt_ports
-            if (
-                packet.dport not in ex
-                and packet.sport not in ex
-                and packet.proto is not Proto.ARP
-            ):
-                self._transmit_approx(packet)
-                return
-        if self._sending:
+        now = sim._now
+        if self._in_flight:
             tr = sim.tracer
             if tr is not None:
                 tr.instant(
                     "queued", "link", node=self.name, op=packet_op(packet.payload),
-                    depth=len(self._queue) + 1,
+                    depth=self._in_flight,
                 )
-            self._queue.append(packet)
-            return
-        self._sending = True
-        sim._schedule_call(0.0, self._grant, packet, priority=URGENT)
-
-    def _grant(self, packet: Packet) -> None:
-        # Urgent enqueue hop + normal grant hop: preserves the event-id
-        # assignment moments of the old process-start/resource-grant pair,
-        # so same-timestamp ties break exactly as before the rewrite.
-        self.sim._schedule_call(0.0, self._serialize, packet)
-
-    def _serialize(self, packet: Packet) -> None:
-        ser = packet._wire_size * 8.0 / self.bandwidth_bps
-        self._free_at = self.sim._now + ser
-        self.sim._schedule_call(ser, self._finish_tx, packet)
-
-    def _finish_tx(self, packet: Packet) -> None:
-        """End of serialization: counters, fault draws, delivery, hand-off."""
-        sim = self.sim
-        self.tx_bytes.add(packet._wire_size)
-        self.tx_packets.add()
-        dropped = False
-        if self.down:
-            self.dropped_packets.add()
-            dropped = True
-            tr = sim.tracer
-            if tr is not None:
-                tr.instant("drop", "link", node=self.name,
-                           op=packet_op(packet.payload), reason="down")
-        elif (
-            self.loss_rate
-            and self._loss_rng is not None
-            and self._loss_rng.random() < self.loss_rate
-        ):
-            self.dropped_packets.add()
-            dropped = True
-            tr = sim.tracer
-            if tr is not None:
-                tr.instant("drop", "link", node=self.name,
-                           op=packet_op(packet.payload), reason="loss")
-        if not dropped:
-            delay = self.latency_s
-            if self.delay_jitter_s and self._jitter_rng is not None:
-                delay += self._jitter_rng.random() * self.delay_jitter_s
-            sim._schedule_call(delay, self._deliver, packet)
-        queue = self._queue
-        if queue:
-            sim._schedule_call(0.0, self._serialize, queue.popleft())
-        else:
-            self._sending = False
-
-    def _transmit_approx(self, packet: Packet) -> None:
-        """Flow-approximation delivery: one event, analytic queueing.
-
-        The wire-occupancy window is folded into the delivery delay via
-        ``_free_at`` service-rate accounting instead of being simulated as
-        grant/serialize/finish events; loss and jitter draw at enqueue
-        time (approx mode trades exact RNG ordering for event count).
-        """
-        sim = self.sim
-        now = sim._now
+        self._in_flight += 1
         start = self._free_at
         if start < now:
             start = now
-        end = start + packet._wire_size * 8.0 / self.bandwidth_bps
-        self._free_at = end
+        self._free_at = end = start + packet._wire_size * 8.0 / self.bandwidth_bps
+        sim._schedule_call_at(end, self._finish_tx, packet)
+
+    def _finish_tx(self, packet: Packet) -> None:
+        """End of serialization: counters, fault draws, delivery."""
+        sim = self.sim
+        self._in_flight -= 1
         self.tx_bytes.add(packet._wire_size)
         self.tx_packets.add()
         if self.down:
@@ -259,7 +189,7 @@ class Channel:
                 tr.instant("drop", "link", node=self.name,
                            op=packet_op(packet.payload), reason="loss")
             return
-        delay = end - now + self.latency_s
+        delay = self.latency_s
         if self.delay_jitter_s and self._jitter_rng is not None:
             delay += self._jitter_rng.random() * self.delay_jitter_s
         sim._schedule_call(delay, self._deliver, packet)
@@ -270,47 +200,10 @@ class Channel:
     @property
     def queued(self) -> int:
         """Transfers waiting behind the one on the wire (diagnostics)."""
-        return len(self._queue)
+        return max(self._in_flight - 1, 0)
 
     def __repr__(self) -> str:  # pragma: no cover
         return f"<Channel {self.name} {self.bandwidth_bps/GBPS:g}Gbps>"
-
-
-def transmit_fanout(sim: Simulator, legs: List[tuple]) -> None:
-    """Vectorized multicast fan-out: ONE grant/serialize/finish chain for R legs.
-
-    ``legs`` is ``[(channel, packet), ...]``; the caller guarantees every
-    channel is idle and distinct and all share one bandwidth (same packet
-    size across legs makes serialization end simultaneously).  The three
-    shared hops replace R consecutive per-leg hops of the same timestamp
-    and priority, which preserves tie-breaking against any third-party
-    event; per-leg delivery events, loss/jitter draws and queue hand-offs
-    run at fire time in leg order — the same order the per-leg chains
-    produced — so RNG streams and delivery ordering are bit-identical.
-    """
-    for ch, _ in legs:
-        ch._sending = True
-    sim._schedule_call(0.0, _fanout_grant, sim, legs, priority=URGENT)
-
-
-def _fanout_grant(sim: Simulator, legs: List[tuple]) -> None:
-    sim._schedule_call(0.0, _fanout_serialize, sim, legs)
-
-
-def _fanout_serialize(sim: Simulator, legs: List[tuple]) -> None:
-    ch0, p0 = legs[0]
-    ser = p0._wire_size * 8.0 / ch0.bandwidth_bps
-    free = sim._now + ser
-    for ch, _ in legs:
-        ch._free_at = free
-    sim._schedule_call(ser, _fanout_finish, legs)
-
-
-def _fanout_finish(legs: List[tuple]) -> None:
-    # Unpacked at fire time: each leg runs the normal end-of-serialization
-    # step (counters, draws, delivery, queue hand-off) in leg order.
-    for ch, packet in legs:
-        ch._finish_tx(packet)
 
 
 class Link:
@@ -348,7 +241,11 @@ class Link:
         return [self.ab, self.ba]
 
     def set_bandwidth(self, bandwidth_bps: float) -> None:
-        """Reconfigure both directions (Fig 8 throttles replicas to 50 Mbps)."""
+        """Reconfigure both directions (Fig 8 throttles replicas to 50 Mbps).
+
+        Packets already enqueued keep the serialization time they were
+        given at :meth:`Channel.transmit`; the new rate applies to later
+        transmits."""
         if bandwidth_bps <= 0:
             raise ValueError(f"bandwidth must be positive: {bandwidth_bps}")
         self.ab.bandwidth_bps = bandwidth_bps

@@ -472,13 +472,6 @@ class Simulator:
         #: off and every hook site reduces to an attribute load + branch
         #: (the null-tracer pattern; install via ``repro.obs.install``).
         self.tracer = None
-        #: Flow-approximation mode (DESIGN.md §5g), owned by the net layer
-        #: but stored here so ``Channel.transmit`` pays one attribute load
-        #: to check it (and to avoid a net→core import cycle).  When True,
-        #: packets whose sport/dport is not in ``approx_exempt_ports`` get
-        #: analytic single-event delivery instead of the exact wire chain.
-        self.approx_mode = False
-        self.approx_exempt_ports: frozenset = frozenset()
 
     # -- clock -------------------------------------------------------------
     @property
@@ -530,6 +523,35 @@ class Simulator:
         else:
             self._entry_misses += 1
             entry = [self._now + delay, priority, eid, call]
+        heapq.heappush(self._heap, entry)
+
+    def _schedule_call_at(self, when: float, func: Callable, *args: Any) -> None:
+        """Normal-priority ``func(*args)`` at absolute time ``when``.
+
+        Stores ``when`` as given: the analytic FIFO servers (links, disks)
+        compute their completion instants as ``free_at + service`` and must
+        fire at exactly that float, which ``call_at``'s ``when - now`` round
+        trip can move by one ulp.  The caller guarantees ``when >= now``.
+        """
+        if self._call_pool:
+            self._call_hits += 1
+            call = self._call_pool.pop()
+        else:
+            self._call_misses += 1
+            call = _Call(self)
+        call.func = func
+        call.args = args
+        self._eid = eid = self._eid + 1
+        pool = self._entry_pool
+        if pool:
+            entry = pool.pop()
+            entry[0] = when
+            entry[1] = NORMAL
+            entry[2] = eid
+            entry[3] = call
+        else:
+            self._entry_misses += 1
+            entry = [when, NORMAL, eid, call]
         heapq.heappush(self._heap, entry)
 
     def cancel_timer(self, event: Event) -> bool:

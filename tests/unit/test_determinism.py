@@ -1,15 +1,12 @@
-"""Determinism regression: performance machinery must not change results.
+"""Determinism regression: same seed, same results.
 
-Each knob that exists purely for speed — the vectorized multicast
-fan-out batching, the approx simulation mode's *exact* setting — runs a
-small fig5-style put leg twice with the same seed, once per path, and
-asserts bit-identical result rows and final simulated time.  This is the
-contract that lets each optimization ship at all: a batched schedule,
-never a semantic change.
+A small fig5-style put leg and seeded chaos cases run twice with the same
+seed and must agree bit for bit: result rows, final simulated time, and
+fault timelines.  This is the contract that lets a performance change
+ship at all: a cheaper schedule, never a semantic change.
 """
 
 from repro.bench.harness import build_nice, run_to_completion
-from repro.core import set_default_sim_mode
 from repro.workloads import closed_loop_puts
 
 
@@ -44,72 +41,6 @@ def test_same_seed_same_results():
     b = _fig5_leg(n_ops=4, sizes=(1 << 10,))
     assert a[0] == b[0]
     assert a[1] == b[1]
-
-
-# -- multicast fan-out batching (DESIGN.md §5g) -------------------------------------
-
-
-def test_fig5_leg_identical_with_and_without_tx_batching(monkeypatch):
-    """Vectorized group fan-out vs per-receiver transmit chains.
-
-    ``REPRO_NO_TX_BATCH=1`` makes every switch built afterwards schedule a
-    full per-receiver grant/serialize/finish/deliver chain per multicast
-    leg; the default shares one chain across the R legs.  Both paths must
-    draw per-receiver loss/jitter in the same RNG order, so every result
-    bit must agree.
-    """
-    monkeypatch.delenv("REPRO_NO_TX_BATCH", raising=False)
-    rows_batched, now_batched = _fig5_leg()
-    monkeypatch.setenv("REPRO_NO_TX_BATCH", "1")
-    rows_unbatched, now_unbatched = _fig5_leg()
-    assert rows_batched == rows_unbatched
-    assert now_batched == now_unbatched
-
-
-# -- sim_mode (flow approximation, DESIGN.md §5g) -----------------------------------
-
-
-def _sim_mode_leg(mode, n_ops=8, sizes=(4, 1 << 14)):
-    prior = set_default_sim_mode(mode)
-    try:
-        return _fig5_leg(n_ops=n_ops, sizes=sizes)
-    finally:
-        set_default_sim_mode(prior)
-
-
-def test_sim_mode_approx_is_deterministic():
-    """Same seed, same approx run — approximate but reproducible."""
-    rows_a, now_a = _sim_mode_leg("approx")
-    rows_b, now_b = _sim_mode_leg("approx")
-    assert rows_a == rows_b
-    assert now_a == now_b
-
-
-def test_sim_mode_exact_untouched_by_approx_plumbing():
-    """Explicitly-requested exact mode equals the pre-knob default path.
-
-    Building a cluster with ``sim_mode="exact"`` (the default) must give
-    results bit-identical to a run where the approx default was toggled
-    on and back off around it — the process-global default must leak into
-    nothing but configs built while it is set.
-    """
-    rows_a, now_a = _fig5_leg()
-    set_default_sim_mode("approx")
-    set_default_sim_mode("exact")
-    rows_b, now_b = _fig5_leg()
-    assert rows_a == rows_b
-    assert now_a == now_b
-
-
-def test_sim_mode_approx_tracks_exact_closely():
-    """Approx results are not required to be identical, but must stay
-    within the ±5% envelope the mode advertises (EXPERIMENTS.md)."""
-    rows_exact, now_exact = _sim_mode_leg("exact")
-    rows_approx, now_approx = _sim_mode_leg("approx")
-    assert abs(now_approx - now_exact) <= 0.05 * now_exact
-    for re_, ra in zip(rows_exact, rows_approx):
-        assert ra["count"] == re_["count"]
-        assert abs(ra["put_ms"] - re_["put_ms"]) <= 0.05 * re_["put_ms"]
 
 
 # -- chaos-engine determinism (the reproducibility contract of repro.chaos) ---------
